@@ -438,7 +438,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         if frontier is not None:
             records = []
             for envelope in envelopes:
-                frontier.push(envelope)
+                if not frontier.push(envelope):
+                    continue
                 while (row := frontier.pop_ready()) is not None:
                     record = stream.push(row)
                     if record is not None:

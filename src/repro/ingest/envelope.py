@@ -37,6 +37,19 @@ __all__ = ["SampleEnvelope", "envelopes_from_matrix"]
 #: a bool reading is almost always a schema bug upstream).
 _REAL_TYPES = (int, float, np.integer, np.floating)
 
+_INF = math.inf
+_NEG_INF = -math.inf
+
+
+def _as_id(field: str, raw: object) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)):
+        raise EnvelopeValidationError(
+            field, f"expected an int, got {type(raw).__name__}"
+        )
+    if raw < 0:
+        raise EnvelopeValidationError(field, f"must be >= 0, got {raw}")
+    return int(raw)
+
 
 def _as_real(field: str, value: object) -> float:
     if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
@@ -75,35 +88,66 @@ class SampleEnvelope:
     value: float
     tenant: str = ""
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.tenant, str):
-            raise EnvelopeValidationError(
-                "tenant",
-                f"expected a str, got {type(self.tenant).__name__}",
+    # ``@dataclass`` keeps an explicit ``__init__``: validation is one pass
+    # whose first branch admits exact built-in types with plain
+    # comparisons (NaN fails both timestamp bounds; NaN values pass).
+    # Anything else takes the normalising path, which owns every error.
+    def __init__(
+        self,
+        sensor: int,
+        seq: int,
+        timestamp: float,
+        value: float,
+        tenant: str = "",
+    ) -> None:
+        if not (
+            type(sensor) is int
+            and type(seq) is int
+            and type(timestamp) is float
+            and type(value) is float
+            and type(tenant) is str
+            and sensor >= 0
+            and seq >= 0
+            and _NEG_INF < timestamp < _INF
+            and value != _INF
+            and value != _NEG_INF
+        ):
+            sensor, seq, timestamp, value = _normalise(
+                sensor, seq, timestamp, value, tenant
             )
-        for field in ("sensor", "seq"):
-            raw = getattr(self, field)
-            if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)):
-                raise EnvelopeValidationError(
-                    field, f"expected an int, got {type(raw).__name__}"
-                )
-            if raw < 0:
-                raise EnvelopeValidationError(field, f"must be >= 0, got {raw}")
-            object.__setattr__(self, field, int(raw))
-        timestamp = _as_real("timestamp", self.timestamp)
-        if not math.isfinite(timestamp):
-            raise EnvelopeValidationError(
-                "timestamp", f"must be finite, got {timestamp}"
-            )
-        object.__setattr__(self, "timestamp", timestamp)
-        value = _as_real("value", self.value)
-        if math.isinf(value):
-            raise EnvelopeValidationError(
-                "value",
-                "reading is infinite; inf is never a valid measurement "
-                "(NaN marks a missing reading)",
-            )
-        object.__setattr__(self, "value", value)
+        # Frozen, so ``self.x = ...`` raises: write the instance dict
+        # directly (cheaper than one ``object.__setattr__`` per field).
+        fields = self.__dict__
+        fields["sensor"] = sensor
+        fields["seq"] = seq
+        fields["timestamp"] = timestamp
+        fields["value"] = value
+        fields["tenant"] = tenant
+
+
+def _normalise(
+    sensor: object, seq: object, timestamp: object, value: object, tenant: object
+) -> tuple[int, int, float, float]:
+    """Coerce numpy/int scalars to built-ins, or raise the field's error."""
+    if not isinstance(tenant, str):
+        raise EnvelopeValidationError(
+            "tenant", f"expected a str, got {type(tenant).__name__}"
+        )
+    sensor_id = _as_id("sensor", sensor)
+    seq_no = _as_id("seq", seq)
+    real_timestamp = _as_real("timestamp", timestamp)
+    if not math.isfinite(real_timestamp):
+        raise EnvelopeValidationError(
+            "timestamp", f"must be finite, got {real_timestamp}"
+        )
+    real_value = _as_real("value", value)
+    if math.isinf(real_value):
+        raise EnvelopeValidationError(
+            "value",
+            "reading is infinite; inf is never a valid measurement "
+            "(NaN marks a missing reading)",
+        )
+    return sensor_id, seq_no, real_timestamp, real_value
 
 
 def envelopes_from_matrix(

@@ -189,8 +189,11 @@ class IngestFrontier:
 
     def __init__(self, config: FrontierConfig) -> None:
         self._cfg = config
-        self._pending: dict[int, np.ndarray] = {}
-        self._pending_seq: dict[int, np.ndarray] = {}
+        # Rows assemble as plain lists (a cell write is a list store, not a
+        # numpy item write); each becomes one float64 array when it flushes.
+        self._pending: dict[int, list[float]] = {}
+        self._pending_seq: dict[int, list[int]] = {}
+        self._lag = max(1, config.disorder_horizon)
         self._next_emit = 0
         self._max_row = -1
         self.accepted = 0
@@ -214,7 +217,7 @@ class IngestFrontier:
         envelopes are in flight in any legal in-order delivery), so it can
         only flush via :meth:`drain` or once a newer row is observed.
         """
-        return self._max_row - max(1, self._cfg.disorder_horizon)
+        return self._max_row - self._lag
 
     @property
     def next_emit(self) -> int:
@@ -242,6 +245,9 @@ class IngestFrontier:
     def push(self, envelope: SampleEnvelope) -> int:
         """Stage one envelope; return how many rows are now flushable.
 
+        0 means :meth:`pop_ready` would return None, so callers skip their
+        flush loop on it.
+
         Raises :class:`EnvelopeValidationError` for an out-of-range sensor
         or a pre-epoch timestamp, :class:`SequenceConflictError` when
         dedup detects inconsistent producer numbering.  Duplicate and late
@@ -252,44 +258,50 @@ class IngestFrontier:
             raise EnvelopeValidationError(
                 "envelope", f"expected SampleEnvelope, got {type(envelope).__name__}"
             )
-        if envelope.sensor >= self._cfg.n_sensors:
+        cfg = self._cfg
+        sensor = envelope.sensor
+        if sensor >= cfg.n_sensors:
             raise EnvelopeValidationError(
                 "sensor",
-                f"{envelope.sensor} outside [0, {self._cfg.n_sensors})",
+                f"{sensor} outside [0, {cfg.n_sensors})",
             )
         pos = self.position(envelope)
-        if pos < self._next_emit:
+        next_emit = self._next_emit
+        if pos < next_emit:
             self.late_dropped += 1
-            return self.ready_count()
-        if pos < self._max_row:
-            self.reordered += 1
-        row = self._pending.get(pos)
-        if row is None:
-            row = np.full(self._cfg.n_sensors, np.nan)
-            seqs = np.full(self._cfg.n_sensors, -1, dtype=np.int64)
-            self._pending[pos] = row
-            self._pending_seq[pos] = seqs
         else:
-            seqs = self._pending_seq[pos]
-        held = int(seqs[envelope.sensor])
-        if held >= 0 and self._cfg.dedup:
-            if held == envelope.seq:
+            max_row = self._max_row
+            if pos < max_row:
+                self.reordered += 1
+            row = self._pending.get(pos)
+            if row is None:
+                row = [math.nan] * cfg.n_sensors
+                seqs = [-1] * cfg.n_sensors
+                self._pending[pos] = row
+                self._pending_seq[pos] = seqs
+            else:
+                seqs = self._pending_seq[pos]
+            held = seqs[sensor]
+            if held >= 0 and cfg.dedup:
+                if held != envelope.seq:
+                    raise SequenceConflictError(sensor, pos, held, envelope.seq)
                 self.deduped += 1
-                return self.ready_count()
-            raise SequenceConflictError(envelope.sensor, pos, held, envelope.seq)
-        row[envelope.sensor] = envelope.value
-        seqs[envelope.sensor] = envelope.seq
-        if pos > self._max_row:
-            self._max_row = pos
-        self.accepted += 1
-        return self.ready_count()
+            else:
+                row[sensor] = envelope.value
+                seqs[sensor] = envelope.seq
+                if pos > max_row:
+                    self._max_row = pos
+                self.accepted += 1
+        # ready_count(), inlined: rows at or below the watermark.
+        ready = self._max_row - self._lag - next_emit + 1
+        return ready if ready > 0 else 0
 
     def extend(self, envelopes: Iterable[SampleEnvelope]) -> list[np.ndarray]:
         """Push many envelopes, returning every row that became flushable."""
         rows: list[np.ndarray] = []
         for envelope in envelopes:
-            self.push(envelope)
-            rows.extend(self.ready())
+            if self.push(envelope):
+                rows.extend(self.ready())
         return rows
 
     # ----------------------------------------------------------------- #
@@ -298,7 +310,7 @@ class IngestFrontier:
 
     def ready_count(self) -> int:
         """Rows currently at or below the watermark, i.e. flushable now."""
-        return max(0, min(self.watermark, self._max_row) - self._next_emit + 1)
+        return max(0, self.watermark - self._next_emit + 1)
 
     def pop_ready(self) -> np.ndarray | None:
         """Flush the next row past the watermark, or None if none is due.
@@ -330,13 +342,11 @@ class IngestFrontier:
     def _emit_next(self) -> np.ndarray | None:
         pos = self._next_emit
         self._next_emit = pos + 1
-        values = self._pending.pop(pos, None)
-        seqs = self._pending_seq.pop(pos, None)
-        if values is None:
-            values = np.full(self._cfg.n_sensors, np.nan)
+        cells = self._pending.pop(pos, None)
+        if cells is None:
             missing = self._cfg.n_sensors
         else:
-            missing = int((seqs < 0).sum())
+            missing = self._pending_seq.pop(pos).count(-1)
         if self._cfg.late_policy == "drop":
             if missing > 0:
                 self.rows_dropped += 1
@@ -344,7 +354,9 @@ class IngestFrontier:
         else:
             self.nan_patched += missing
         self.rows_emitted += 1
-        return values
+        if cells is None:
+            return np.full(self._cfg.n_sensors, np.nan)
+        return np.array(cells, dtype=np.float64)
 
     # ----------------------------------------------------------------- #
     # Introspection / checkpointing
@@ -372,12 +384,11 @@ class IngestFrontier:
             "max_row": self._max_row,
             "counters": {name: int(getattr(self, name)) for name in _COUNTERS},
             "pending": {
-                str(pos): [None if np.isnan(v) else float(v) for v in row]
+                str(pos): [None if math.isnan(v) else v for v in row]
                 for pos, row in sorted(self._pending.items())
             },
             "pending_seq": {
-                str(pos): [int(s) for s in seqs]
-                for pos, seqs in sorted(self._pending_seq.items())
+                str(pos): list(seqs) for pos, seqs in sorted(self._pending_seq.items())
             },
         }
 
@@ -393,24 +404,22 @@ class IngestFrontier:
             next_emit = int(state["next_emit"])
             max_row = int(state["max_row"])
             counters = {name: int(state["counters"][name]) for name in _COUNTERS}
-            pending: dict[int, np.ndarray] = {}
-            pending_seq: dict[int, np.ndarray] = {}
+            pending: dict[int, list[float]] = {}
+            pending_seq: dict[int, list[int]] = {}
             for key, row in state["pending"].items():
                 if len(row) != self._cfg.n_sensors:
                     raise FrontierStateError(
                         f"pending row {key} has {len(row)} cells, expected "
                         f"{self._cfg.n_sensors}"
                     )
-                pending[int(key)] = np.array(
-                    [np.nan if v is None else float(v) for v in row]
-                )
+                pending[int(key)] = [math.nan if v is None else float(v) for v in row]
             for key, seqs in state["pending_seq"].items():
                 if len(seqs) != self._cfg.n_sensors:
                     raise FrontierStateError(
                         f"pending_seq row {key} has {len(seqs)} cells, expected "
                         f"{self._cfg.n_sensors}"
                     )
-                pending_seq[int(key)] = np.asarray(seqs, dtype=np.int64)
+                pending_seq[int(key)] = [int(s) for s in seqs]
         except FrontierStateError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -419,6 +428,16 @@ class IngestFrontier:
             raise FrontierStateError("pending and pending_seq rows disagree")
         if any(pos < next_emit for pos in pending):
             raise FrontierStateError("pending rows behind the flush frontier")
+        if any(pos > max_row for pos in pending):
+            raise FrontierStateError("pending rows beyond the newest observed row")
+        for pos, seqs in pending_seq.items():
+            if min(seqs) < -1:
+                raise FrontierStateError(f"pending_seq row {pos} holds a seq below -1")
+            row = pending[pos]
+            if any(s == -1 and not math.isnan(v) for s, v in zip(seqs, row)):
+                raise FrontierStateError(
+                    f"pending row {pos} carries a value in a never-received cell"
+                )
         self._next_emit = next_emit
         self._max_row = max_row
         self._pending = pending

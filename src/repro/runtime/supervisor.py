@@ -485,7 +485,8 @@ class StreamSupervisor:
         captures every not-yet-consumed row inside the frontier state.
         """
         frontier = self._require_frontier()
-        frontier.push(envelope)
+        if not frontier.push(envelope):
+            return []  # nothing at or below the watermark: pop_ready is None
         records: list[RoundRecord] = []
         while True:
             row = frontier.pop_ready()

@@ -7,7 +7,10 @@ must yield ``RoundRecord`` sequences bit-identical to clean in-order
 delivery.
 """
 
+import dataclasses
 import json
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 from tests.conftest import correlated_values
 from repro.core import CADConfig, InvalidSampleError, StreamingCAD
 from repro.ingest import (
+    LATE_POLICIES,
     DeliveryChaosModel,
     FrontierConfig,
     IngestFrontier,
@@ -70,7 +74,35 @@ def frontier_records(history, envelopes, frontier):
     return records
 
 
+ENVELOPE_OK = dict(sensor=0, seq=0, timestamp=0.0, value=1.0)
+
+
 class TestEnvelopeValidation:
+    @pytest.mark.parametrize(
+        "field, raw, stored",
+        [
+            ("sensor", np.int64(3), 3),
+            ("seq", np.int64(7), 7),
+            ("sensor", np.int32(2), 2),
+            ("timestamp", np.float64(7.5), 7.5),
+            ("timestamp", np.float32(7.5), 7.5),
+            ("timestamp", 7, 7.0),
+            ("timestamp", np.int64(7), 7.0),
+            ("value", np.float64(1.5), 1.5),
+            ("value", np.float32(1.5), 1.5),
+            ("value", 2, 2.0),
+            ("value", -0.0, 0.0),
+        ],
+    )
+    def test_accepted_inputs_store_exact_builtin_types(self, field, raw, stored):
+        envelope = SampleEnvelope(**{**ENVELOPE_OK, field: raw})
+        kept = getattr(envelope, field)
+        assert type(kept) is type(stored) and kept == stored
+        for name in ("sensor", "seq"):
+            assert type(getattr(envelope, name)) is int
+        for name in ("timestamp", "value"):
+            assert type(getattr(envelope, name)) is float
+
     def test_well_formed_envelope_coerces_numpy_scalars(self):
         envelope = SampleEnvelope(
             sensor=np.int64(3), seq=np.int64(7), timestamp=np.float64(7.0), value=1.5
@@ -78,30 +110,116 @@ class TestEnvelopeValidation:
         assert envelope.sensor == 3 and isinstance(envelope.sensor, int)
         assert envelope.seq == 7 and isinstance(envelope.seq, int)
         assert envelope.timestamp == 7.0 and isinstance(envelope.timestamp, float)
+        assert envelope == SampleEnvelope(sensor=3, seq=7, timestamp=7.0, value=1.5)
 
     @pytest.mark.parametrize("field", ["sensor", "seq"])
-    @pytest.mark.parametrize("bad", [-1, 1.5, True, "0", None])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            -1,
+            pytest.param(np.int64(-1), id="int64(-1)"),
+            1.5,
+            True,
+            False,
+            pytest.param(np.bool_(True), id="bool_(True)"),
+            "0",
+            None,
+        ],
+    )
     def test_bad_identity_fields_raise(self, field, bad):
-        kwargs = dict(sensor=0, seq=0, timestamp=0.0, value=1.0)
+        kwargs = dict(ENVELOPE_OK)
         kwargs[field] = bad
         with pytest.raises(EnvelopeValidationError) as excinfo:
             SampleEnvelope(**kwargs)
         assert excinfo.value.field == field
 
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, "now", None])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.inf,
+            -np.inf,
+            np.nan,
+            pytest.param(np.float64(np.nan), id="float64(nan)"),
+            pytest.param(np.float32(np.inf), id="float32(inf)"),
+            True,
+            False,
+            "now",
+            None,
+        ],
+    )
     def test_bad_timestamp_raises(self, bad):
         with pytest.raises(EnvelopeValidationError) as excinfo:
             SampleEnvelope(sensor=0, seq=0, timestamp=bad, value=1.0)
         assert excinfo.value.field == "timestamp"
 
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, "1.0", None, True])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.inf,
+            -np.inf,
+            pytest.param(np.float64(-np.inf), id="float64(-inf)"),
+            pytest.param(np.float32(np.inf), id="float32(inf)"),
+            "1.0",
+            None,
+            True,
+        ],
+    )
     def test_bad_value_raises(self, bad):
-        with pytest.raises(EnvelopeValidationError):
+        with pytest.raises(EnvelopeValidationError) as excinfo:
             SampleEnvelope(sensor=0, seq=0, timestamp=0.0, value=bad)
+        assert excinfo.value.field == "value"
+
+    @pytest.mark.parametrize(
+        "field, bad, reason",
+        [
+            ("tenant", 7, "expected a str, got int"),
+            ("sensor", True, "expected an int, got bool"),
+            ("seq", -3, "must be >= 0, got -3"),
+            ("seq", 2.0, "expected an int, got float"),
+            ("timestamp", "t", "expected a real scalar, got str"),
+            ("timestamp", -np.inf, "must be finite, got -inf"),
+            ("timestamp", np.nan, "must be finite, got nan"),
+            ("value", np.bool_(False), "expected a real scalar, got bool"),
+            (
+                "value",
+                np.inf,
+                "reading is infinite; inf is never a valid measurement "
+                "(NaN marks a missing reading)",
+            ),
+        ],
+    )
+    def test_error_names_the_field_and_reason(self, field, bad, reason):
+        with pytest.raises(EnvelopeValidationError) as excinfo:
+            SampleEnvelope(**{**ENVELOPE_OK, field: bad})
+        assert (excinfo.value.field, excinfo.value.reason) == (field, reason)
+        assert str(excinfo.value) == f"invalid envelope {field}: {reason}"
 
     def test_nan_value_is_the_sanctioned_missing_marker(self):
         envelope = SampleEnvelope(sensor=0, seq=0, timestamp=0.0, value=np.nan)
         assert np.isnan(envelope.value)
+
+    def test_frozen_dataclass_protocols_hold(self):
+        envelope = SampleEnvelope(
+            sensor=2, seq=5, timestamp=5.0, value=0.5, tenant="t"
+        )
+        assert dataclasses.is_dataclass(envelope)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            envelope.value = 1.0
+        moved = dataclasses.replace(envelope, timestamp=np.float64(5.25))
+        assert type(moved.timestamp) is float and moved.timestamp == 5.25
+        assert (moved.sensor, moved.seq, moved.value, moved.tenant) == (2, 5, 0.5, "t")
+        with pytest.raises(EnvelopeValidationError):
+            dataclasses.replace(envelope, value=np.inf)
+        clone = pickle.loads(pickle.dumps(envelope))
+        assert clone == envelope and hash(clone) == hash(envelope)
+        twin = SampleEnvelope(np.int64(2), 5, 5, np.float32(0.5), "t")
+        assert twin == envelope and hash(twin) == hash(envelope)
+        assert envelope != moved
+        assert hash(envelope) == hash((2, 5, 5.0, 0.5, "t"))
+        assert dataclasses.astuple(envelope) == (2, 5, 5.0, 0.5, "t")
+        assert repr(envelope) == (
+            "SampleEnvelope(sensor=2, seq=5, timestamp=5.0, value=0.5, tenant='t')"
+        )
 
 
 class TestDetectorDoorValidation:
@@ -389,6 +507,16 @@ class TestStateRoundtrip:
             lambda s: {**s, "pending": {"0": [1.0]}},  # wrong width
             lambda s: {**s, "pending_seq": {}},  # disagrees with pending
             lambda s: {**s, "next_emit": 10_000},  # pending behind frontier
+            # pending row past max_row: drain() would never emit it
+            lambda s: {
+                **s,
+                "pending": {**s["pending"], "9": [1.0, 2.0, 3.0]},
+                "pending_seq": {**s["pending_seq"], "9": [9, 9, 9]},
+            },
+            # seq below the -1 never-received marker
+            lambda s: {**s, "pending_seq": {**s["pending_seq"], "5": [5, 5, -2]}},
+            # never-received cell carrying a value
+            lambda s: {**s, "pending": {**s["pending"], "5": [5.0, 15.0, 25.0]}},
         ],
     )
     def test_malformed_state_raises_typed_error(self, corrupt):
@@ -397,6 +525,112 @@ class TestStateRoundtrip:
         fresh = IngestFrontier(FrontierConfig(n_sensors=3, disorder_horizon=4))
         with pytest.raises(FrontierStateError):
             fresh.restore_state(corrupt(state))
+
+
+#: Frontier state pinned from the v1 writer as it stood before the reorder
+#: buffer moved from numpy rows to plain lists (recipe below).
+GOLDEN_STATE = Path(__file__).resolve().parent / "data" / "frontier_state_v1.json"
+
+#: Recipe of the pinned cases: a skewed, shuffled, redelivered stream with
+#: holes (two lost cells and one wholly lost tick), cut mid-reorder.
+GOLDEN_SENSORS = 4
+GOLDEN_TICKS = 24
+GOLDEN_HORIZON = 3
+GOLDEN_HOLES = {(1, 5), (2, 9), *((s, 12) for s in range(GOLDEN_SENSORS))}
+GOLDEN_CHAOS = DeliveryChaosModel(
+    seed=5,
+    out_of_order_rate=0.5,
+    max_disorder=5,
+    redelivery_rate=0.3,
+    redelivery_max_delay=8,
+    skew_magnitude=0.8,
+)
+
+
+def golden_delivery():
+    """The recipe's delivered envelopes (NaN reading at sensor 3, tick 14)."""
+    values = (
+        np.arange(GOLDEN_SENSORS)[:, None] * 100.0
+        + np.arange(GOLDEN_TICKS)[None, :]
+        + 0.25
+    )
+    values[3, 14] = np.nan
+    delivered = GOLDEN_CHAOS.deliver(envelopes_from_matrix(values))
+    return [e for e in delivered if (e.sensor, e.seq) not in GOLDEN_HOLES]
+
+
+def golden_frontier(late_policy):
+    return IngestFrontier(
+        FrontierConfig(
+            n_sensors=GOLDEN_SENSORS,
+            disorder_horizon=GOLDEN_HORIZON,
+            late_policy=late_policy,
+            dedup=True,
+            skew=GOLDEN_CHAOS.skews(GOLDEN_SENSORS),
+        )
+    )
+
+
+def golden_rows(rows):
+    return [[None if np.isnan(v) else float(v) for v in row] for row in rows]
+
+
+def golden_case(late_policy, cut):
+    """Run the recipe: the state cut mid-reorder, then what a resumed
+    frontier emits when the whole schedule is re-sent and drained."""
+    delivered = golden_delivery()
+    frontier = golden_frontier(late_policy)
+    for envelope in delivered[:cut]:
+        frontier.push(envelope)
+        while frontier.pop_ready() is not None:
+            pass
+    state_json = json.dumps(frontier.to_state())
+    resumed = golden_frontier(late_policy)
+    resumed.restore_state(json.loads(state_json))
+    rows = resumed.extend(delivered)
+    rows.extend(resumed.drain())
+    return {
+        "late_policy": late_policy,
+        "cut": cut,
+        "state_json": state_json,
+        "rows": golden_rows(rows),
+        "final_state_json": json.dumps(resumed.to_state()),
+    }
+
+
+class TestFrontierStateGolden:
+    """Frontier checkpoints written by the v1 writer load and resume unchanged."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN_STATE.read_text(encoding="utf-8"))["cases"]
+
+    def test_recipe_exercises_every_path(self, golden):
+        assert {case["late_policy"] for case in golden} == set(LATE_POLICIES)
+        for case in golden:
+            assert json.loads(case["state_json"])["pending"], "cut mid-reorder"
+            final = json.loads(case["final_state_json"])["counters"]
+            for counter in ("reordered", "deduped", "late_dropped"):
+                assert final[counter] > 0, counter
+            assert final["rows_dropped"] + final["nan_patched"] > 0
+
+    @pytest.mark.parametrize("late_policy", LATE_POLICIES)
+    def test_state_and_drained_rows_are_byte_identical(self, golden, late_policy):
+        (pinned,) = [c for c in golden if c["late_policy"] == late_policy]
+        assert golden_case(late_policy, pinned["cut"]) == pinned
+
+    @pytest.mark.parametrize("late_policy", LATE_POLICIES)
+    def test_pinned_state_restores_and_drains_the_pinned_rows(
+        self, golden, late_policy
+    ):
+        (pinned,) = [c for c in golden if c["late_policy"] == late_policy]
+        frontier = golden_frontier(late_policy)
+        frontier.restore_state(json.loads(pinned["state_json"]))
+        assert json.dumps(frontier.to_state()) == pinned["state_json"]
+        rows = frontier.extend(golden_delivery())
+        rows.extend(frontier.drain())
+        assert golden_rows(rows) == pinned["rows"]
+        assert json.dumps(frontier.to_state()) == pinned["final_state_json"]
 
 
 class TestDeliveryChaosModel:
@@ -630,7 +864,7 @@ class TestEnvelopeTenancy:
         )
         assert envelope.tenant == "acme-07"
 
-    @pytest.mark.parametrize("bad", [0, None, b"t", 1.5])
+    @pytest.mark.parametrize("bad", [0, None, b"t", 1.5, True])
     def test_non_string_tenant_raises(self, bad):
         with pytest.raises(EnvelopeValidationError) as excinfo:
             SampleEnvelope(sensor=0, seq=0, timestamp=0.0, value=1.0, tenant=bad)
