@@ -84,7 +84,20 @@ def save_checkpoint(stream: StreamingCAD, path: str | Path) -> None:
     flushed and fsynced, then moved into place with :func:`os.replace`.  A
     crash mid-write can therefore never leave a truncated archive at
     ``path`` — the worst case is a stale ``.tmp`` file next to the intact
-    previous checkpoint.
+    previous checkpoint.  The directory entry is fsynced last, so the
+    rename itself survives power loss.
+    """
+    path = Path(path)
+    replace_checkpoint(stream, path)
+    fsync_directory(path.parent)
+
+
+def replace_checkpoint(stream: StreamingCAD, path: Path) -> None:
+    """:func:`save_checkpoint` minus the closing directory fsync.
+
+    For callers that rename more files into the same directory and flush
+    its entry once after the last rename (see
+    :meth:`repro.runtime.rotation.CheckpointRotation.write`).
     """
     state = stream.to_state()
     detector = state["detector"]
@@ -174,7 +187,6 @@ def save_checkpoint(stream: StreamingCAD, path: str | Path) -> None:
                 delta["warm_labels"], dtype=np.int64
             )
 
-    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as handle:
@@ -187,10 +199,9 @@ def save_checkpoint(stream: StreamingCAD, path: str | Path) -> None:
         # exception itself still propagates (R7: no swallowed state errors).
         tmp.unlink(missing_ok=True)
         raise
-    _fsync_directory(path.parent)
 
 
-def _fsync_directory(directory: Path) -> None:
+def fsync_directory(directory: Path) -> None:
     """Flush a directory entry so a rename survives power loss.
 
     Best-effort: some filesystems (and non-POSIX platforms) refuse to open
@@ -377,7 +388,7 @@ def save_fleet_manifest(
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    _fsync_directory(path.parent)
+    fsync_directory(path.parent)
 
 
 def load_fleet_manifest(path: str | Path) -> dict[str, Any]:

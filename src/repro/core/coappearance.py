@@ -37,8 +37,9 @@ def coappearance_counts(previous_labels: np.ndarray, labels: np.ndarray) -> np.n
     # Encode the (previous, current) pair as a single key.
     n_current = int(labels.max()) + 1 if labels.size else 0
     keys = previous_labels.astype(np.int64) * max(n_current, 1) + labels.astype(np.int64)
-    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    return counts[inverse] - 1  # exclude the vertex itself
+    # bincount over the inverse is cheaper than np.unique's return_counts.
+    _, inverse = np.unique(keys, return_inverse=True)
+    return np.bincount(inverse)[inverse] - 1  # exclude the vertex itself
 
 
 class CoAppearanceTracker:

@@ -284,7 +284,13 @@ class RollingCorrelation:
     # checkpoint support
 
     def to_state(self) -> dict[str, Any]:
-        """Serializable snapshot (plain floats / lists, no pickle needed)."""
+        """Snapshot: plain scalars plus ``float64`` array *copies*.
+
+        The arrays are copies, never views, so pushing more rounds leaves
+        the snapshot untouched (``prev`` in particular is held by reference
+        to the caller's window).  No pickle is needed to persist it:
+        :mod:`repro.core.checkpoint` stores the arrays in its ``.npz``.
+        """
         return {
             "n_sensors": self.n_sensors,
             "window": self.window,
@@ -293,10 +299,10 @@ class RollingCorrelation:
             "min_overlap": self.min_overlap,
             "round": self._round,
             "dirty": self._dirty,
-            "baseline": None if self._baseline is None else self._baseline.tolist(),
-            "sums": None if self._sums is None else self._sums.tolist(),
-            "cross": None if self._cross is None else self._cross.tolist(),
-            "prev": None if self._prev is None else self._prev.tolist(),
+            "baseline": _copy_or_none(self._baseline),
+            "sums": _copy_or_none(self._sums),
+            "cross": _copy_or_none(self._cross),
+            "prev": _copy_or_none(self._prev),
         }
 
     @classmethod
@@ -310,11 +316,12 @@ class RollingCorrelation:
         )
         kernel._round = int(state["round"])
         kernel._dirty = bool(state["dirty"])
+        # Copies again: the kernel updates ``_sums``/``_cross`` in place, so
+        # adopting the snapshot's arrays would write into the caller's state.
         for name in ("baseline", "sums", "cross", "prev"):
-            value = state.get(name)
-            setattr(
-                kernel,
-                f"_{name}",
-                None if value is None else np.asarray(value, dtype=np.float64),
-            )
+            setattr(kernel, f"_{name}", _copy_or_none(state.get(name)))
         return kernel
+
+
+def _copy_or_none(value: Any) -> np.ndarray | None:
+    return None if value is None else np.array(value, dtype=np.float64)

@@ -6,10 +6,12 @@ after an exact refresh), and the array-backed TSG/Louvain must reproduce the
 dict reference implementations label for label.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
-from repro.core import CAD, CADConfig, build_tsg
+from repro.core import CAD, CADConfig, StreamingCAD, build_tsg
 from repro.graph import (
     CSRGraph,
     Graph,
@@ -131,6 +133,27 @@ class TestRollingCorrelation:
         for win in windows[40:]:
             assert np.array_equal(kernel.update(win), resumed.update(win))
 
+    def test_snapshot_is_a_copy_in_both_directions(self):
+        rng = np.random.default_rng(9)
+        values = np.cumsum(rng.normal(size=(6, 600)), axis=1)
+        windows = list(stream_windows(values, 50, 5))
+        kernel = RollingCorrelation(6, 50, 5, refresh_every=32)
+        for win in windows[:40]:
+            kernel.update(win)
+        state = kernel.to_state()
+        frozen = {key: np.copy(value) for key, value in state.items()}
+        for win in windows[40:60]:
+            kernel.update(win)
+        resumed = RollingCorrelation.from_state(state)
+        for win in windows[40:60]:
+            resumed.update(win)
+        for key, value in state.items():
+            assert np.array_equal(value, frozen[key]), key
+        assert all(
+            isinstance(state[name], np.ndarray) and state[name].dtype == np.float64
+            for name in ("baseline", "sums", "cross", "prev")
+        )
+
     def test_seek_only_on_fresh_kernel(self):
         kernel = RollingCorrelation(3, 10, 2)
         kernel.seek(64)
@@ -147,6 +170,51 @@ class TestRollingCorrelation:
         kernel = RollingCorrelation(3, 10, 2)
         with pytest.raises(ValueError, match="shape"):
             kernel.update(np.zeros((3, 11)))
+
+
+def assert_same_state(actual, expected, where="state"):
+    assert type(actual) is type(expected), where
+    if isinstance(expected, dict):
+        assert actual.keys() == expected.keys(), where
+        for key in expected:
+            assert_same_state(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), where
+        for index, (a, e) in enumerate(zip(actual, expected)):
+            assert_same_state(a, e, f"{where}[{index}]")
+    elif isinstance(expected, np.ndarray):
+        assert actual.dtype == expected.dtype, where
+        assert np.array_equal(actual, expected, equal_nan=actual.dtype.kind == "f"), where
+    else:
+        assert actual == expected, where
+
+
+class TestStreamSnapshot:
+    """A ``StreamingCAD.to_state()`` snapshot shares no memory with a live
+    stream: neither the stream it came from nor one restored from it may
+    write into it."""
+
+    @pytest.mark.parametrize("engine", ["fast", "delta"])
+    def test_snapshot_survives_both_streams_advancing(self, engine):
+        config = CADConfig(window=40, step=8, engine=engine, corr_refresh=16)
+        values = community_values(n_sensors=9, length=900, seed=5)
+        stream = StreamingCAD(config, 9)
+        stream.push_many(values[:, :400])
+        state = stream.to_state()
+        frozen = copy.deepcopy(state)
+        assert state["detector"]["pipeline"]["kernel"]["cross"] is not None
+
+        stream.push_many(values[:, 400:650])
+        assert_same_state(state, frozen)
+
+        restored = StreamingCAD.from_state(state)
+        restored.push_many(values[:, 400:900])
+        assert_same_state(state, frozen)
+
+        replay = StreamingCAD.from_state(state)
+        assert replay.push_many(values[:, 400:900]) == StreamingCAD.from_state(
+            frozen
+        ).push_many(values[:, 400:900])
 
 
 def random_knn_corr(rng, n):

@@ -1,12 +1,23 @@
 """Rotated checkpoint generations: atomic writes, pruning, fall-back recovery."""
 
 import json
+import os
+import shutil
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tests.conftest import correlated_values
 from repro.core import CADConfig, CheckpointError, StreamingCAD
-from repro.runtime import ChaosModel, CheckpointRotation
+from repro.runtime import (
+    ChaosModel,
+    CheckpointRotation,
+    StreamSupervisor,
+    SupervisorConfig,
+    VirtualClock,
+)
+from repro.timeseries import MultivariateTimeSeries
 
 
 @pytest.fixture
@@ -93,6 +104,18 @@ class TestRecover:
         assert recovered.generation.round_index == 12
         assert newest.sidecar in recovered.skipped
 
+    def test_non_integer_samples_seen_counts_as_corrupt(self, stream, tmp_path):
+        rotation = CheckpointRotation(tmp_path, keep=3)
+        rotation.write(stream, 12, {})
+        newest = rotation.write(stream, 17, {})
+        payload = json.loads(newest.sidecar.read_text())
+        payload["samples_seen"] = "many"
+        newest.sidecar.write_text(json.dumps(payload))
+        recovered = CheckpointRotation(tmp_path, keep=3).recover()
+        assert recovered is not None
+        assert recovered.generation.round_index == 12
+        assert recovered.skipped == (newest.sidecar,)
+
     def test_all_generations_corrupt_recovers_nothing(self, stream, tmp_path):
         rotation = CheckpointRotation(tmp_path, keep=3)
         for round_index in (10, 20):
@@ -136,6 +159,59 @@ class TestMinCoveredSamples:
 
     def test_empty_is_zero(self, tmp_path):
         assert CheckpointRotation(tmp_path).min_covered_samples() == 0
+
+    @staticmethod
+    def count_sidecar_reads(monkeypatch):
+        reads = []
+        real = CheckpointRotation._read_sidecar
+
+        def counting(sidecar):
+            reads.append(sidecar.name)
+            return real(sidecar)
+
+        monkeypatch.setattr(CheckpointRotation, "_read_sidecar", staticmethod(counting))
+        return reads
+
+    def test_own_sidecars_are_not_reread(self, stream, tmp_path, monkeypatch):
+        reads = self.count_sidecar_reads(monkeypatch)
+        rotation = CheckpointRotation(tmp_path, keep=3)
+        first = stream.samples_seen
+        for round_index, seed in ((10, 4), (20, 5), (30, 6), (40, 7)):
+            rotation.write(stream, round_index, {})
+            rotation.min_covered_samples()
+            advance(stream, 20, seed)
+        assert rotation.min_covered_samples() == first + 20
+        assert reads == []
+
+    def test_pruned_generations_are_forgotten(self, stream, tmp_path):
+        rotation = CheckpointRotation(tmp_path, keep=2)
+        for round_index in (10, 20, 30, 40):
+            rotation.write(stream, round_index, {})
+        assert sorted(rotation._samples_seen) == [30, 40]
+
+    def test_fresh_rotation_reads_disk_once(self, stream, tmp_path, monkeypatch):
+        writer = CheckpointRotation(tmp_path, keep=3)
+        for round_index, seed in ((10, 4), (20, 5), (30, 6)):
+            writer.write(stream, round_index, {})
+            advance(stream, 20, seed)
+        reads = self.count_sidecar_reads(monkeypatch)
+        fresh = CheckpointRotation(tmp_path, keep=3)
+        assert fresh.min_covered_samples() == writer.min_covered_samples()
+        assert len(reads) == 3
+        fresh.min_covered_samples()
+        assert len(reads) == 3
+
+    def test_damaged_remembered_sidecar_only_lowers_the_minimum(
+        self, stream, tmp_path
+    ):
+        writer = CheckpointRotation(tmp_path, keep=3)
+        oldest = writer.write(stream, 10, {})
+        advance(stream, 20, 4)
+        writer.write(stream, 20, {})
+        oldest.sidecar.write_text("{ torn")
+        fresh = CheckpointRotation(tmp_path, keep=3)
+        assert writer.min_covered_samples() < fresh.min_covered_samples()
+        assert fresh.min_covered_samples() == stream.samples_seen
 
 
 class TestChaosCorruption:
@@ -212,3 +288,135 @@ class TestScanOrderIndependence:
         assert recovered is not None
         assert recovered.generation == baseline_recover.generation
         assert recovered.stream.samples_seen == baseline_recover.stream.samples_seen
+
+
+class TestSidecarFormat:
+    def test_compact_json_with_unchanged_schema(self, stream, tmp_path):
+        generation = CheckpointRotation(tmp_path).write(stream, 12, {"b": [1], "a": 2})
+        text = generation.sidecar.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        payload = json.loads(text)
+        assert list(payload) == sorted(payload)
+        assert payload == {
+            "format": "repro-runtime-state",
+            "version": 1,
+            "round_index": 12,
+            "samples_seen": stream.samples_seen,
+            "runtime": {"a": 2, "b": [1]},
+        }
+
+    def test_one_directory_fsync_covers_both_renames(
+        self, stream, tmp_path, monkeypatch
+    ):
+        events = []
+        real_replace, real_open = os.replace, os.open
+
+        def replacing(source, target):
+            events.append(Path(target).suffix)
+            real_replace(source, target)
+
+        def opening(path, flags, *args):
+            if Path(path) == tmp_path:
+                events.append("dir")
+            return real_open(path, flags, *args)
+
+        monkeypatch.setattr(os, "replace", replacing)
+        monkeypatch.setattr(os, "open", opening)
+        CheckpointRotation(tmp_path).write(stream, 12, {})
+        assert events == [".npz", ".json", "dir"]
+        events.clear()
+        stream.save(tmp_path / "single.npz")
+        assert events == [".npz", "dir"]
+
+
+#: A rotation directory written by the checkpoint writer as it stood before
+#: sidecars became compact JSON (commit fc8a540): indented sidecars, keep=2,
+#: cut 420 samples into the live feed below.  The resume file pins the
+#: rotation's ``min_covered_samples`` and the records an uninterrupted run
+#: emitted after the newest generation's last emitted round (floats as hex)
+#: — exactly what a process resuming from that generation must emit.
+PARENT_ROTATION = Path(__file__).resolve().parent / "data" / "checkpoint_rotation_v3"
+PARENT_RESUME = PARENT_ROTATION.with_name("checkpoint_rotation_v3_resume.json")
+PARENT_KILL = 420
+
+
+def parent_feed():
+    """The recipe's feed: warm-up history and live samples."""
+    values = correlated_values(n_sensors=8, length=760, seed=31, noise=0.4)
+    values[5, 380:420] = np.nan  # trips sensor 5's breaker
+    values[1, 650:700] = np.random.default_rng(32).standard_normal(50)
+    return values[:, :200], values[:, 200:]
+
+
+def parent_supervisor(directory):
+    return StreamSupervisor(
+        CADConfig(window=48, step=8, allow_missing=True, engine="fast"),
+        8,
+        supervisor=SupervisorConfig(checkpoint_every=10, keep_checkpoints=2),
+        checkpoint_dir=directory,
+        clock=VirtualClock(),
+    )
+
+
+def record_row(record):
+    quality = record.quality
+    return [
+        record.index,
+        record.start,
+        record.stop,
+        record.n_variations,
+        float(record.mean).hex(),
+        float(record.std).hex(),
+        float(record.deviation).hex(),
+        bool(record.abnormal),
+        sorted(record.outliers),
+        sorted(record.variations),
+        record.n_communities,
+        None
+        if quality is None
+        else [
+            float(quality.missing_fraction).hex(),
+            sorted(quality.masked_sensors),
+            bool(quality.degraded),
+        ],
+    ]
+
+
+class TestParentWrittenRotation:
+    def test_recovers_and_resumes_to_the_pinned_records(self, tmp_path):
+        directory = tmp_path / "rotation"
+        shutil.copytree(PARENT_ROTATION, directory)
+        pinned = json.loads(PARENT_RESUME.read_text())
+        sidecar = json.loads((directory / "ckpt-0000000060.json").read_text())
+        assert sidecar["format"] == "repro-runtime-state" and sidecar["version"] == 1
+
+        assert CheckpointRotation(directory, keep=2).min_covered_samples() == (
+            pinned["min_covered_samples"]
+        )
+        _, live = parent_feed()
+        supervisor = parent_supervisor(directory)
+        restart = supervisor.stream.samples_seen
+        assert restart == sidecar["samples_seen"] < PARENT_KILL
+        assert supervisor.breakers.to_state() == sidecar["runtime"]["breakers"]
+        records = supervisor.process_many(live[:, restart:])
+        assert [record_row(r) for r in records] == pinned["records_after_restart"]
+
+    def test_fixture_recipe_reproduces_the_cut(self, tmp_path):
+        """The pinned files came from this recipe: rerunning it on today's
+        code reaches the same generations and the same resumed records."""
+        history, live = parent_feed()
+        supervisor = parent_supervisor(tmp_path)
+        supervisor.warm_up(MultivariateTimeSeries(history))
+        before = supervisor.process_many(live[:, :PARENT_KILL])
+        rotation = CheckpointRotation(tmp_path, keep=2)
+        assert [g.path.name for g in rotation.generations()] == sorted(
+            (p.name for p in PARENT_ROTATION.glob("*.npz")), reverse=True
+        )
+        pinned = json.loads(PARENT_RESUME.read_text())
+        assert rotation.min_covered_samples() == pinned["min_covered_samples"]
+        emitted = json.loads(rotation.generations()[0].sidecar.read_text())[
+            "runtime"
+        ]["max_emitted_index"]
+        after = supervisor.process_many(live[:, PARENT_KILL:])
+        records = [r for r in before + after if r.index > emitted]
+        assert [record_row(r) for r in records] == pinned["records_after_restart"]
